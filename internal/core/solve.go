@@ -59,7 +59,8 @@ type SolveMode int
 
 const (
 	// SolveAuto picks waves or serial from the plan's total row work
-	// against SolveOpts.SerialBelow — the model-layer crossover.
+	// against SolveOpts.SerialBelow — the model-layer crossover — and
+	// runs serially whenever the plan has no multi-tile wave.
 	SolveAuto SolveMode = iota
 	// SolveWaves forces the wave-scheduled path.
 	SolveWaves
@@ -185,22 +186,52 @@ func (so SolveOpts) solveKind() uint8 {
 // (pointer, shape, nnz) already catches reallocation and any structural
 // edit that moves a row boundary.
 func solveHash[T sparse.Number](l *sparse.CSR[T], so SolveOpts) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	h = (h ^ uint64(l.Rows)) * prime
+	h := uint64(fnvOffset)
+	h = (h ^ uint64(l.Rows)) * fnvPrime
 	for _, p := range l.RowPtr {
-		h = (h ^ uint64(p)) * prime
+		h = (h ^ uint64(p)) * fnvPrime
 	}
-	h = (h ^ uint64(len(so.Mask))) * prime
-	for _, r := range so.Mask {
-		h = (h ^ uint64(uint32(r))) * prime
-	}
-	h = (h ^ uint64(so.WaveGrain)) * prime
-	h = (h ^ uint64(so.MergeBelow)) * prime
+	h = hashMask(h, so.Mask)
+	h = (h ^ uint64(so.WaveGrain)) * fnvPrime
+	h = (h ^ uint64(so.MergeBelow)) * fnvPrime
 	return h
+}
+
+// FNV-1a parameters for the word-wise plan-key hashes.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashMask folds the mask's length and contents into h.
+func hashMask(h uint64, mask []sparse.Index) uint64 {
+	h = (h ^ uint64(len(mask))) * fnvPrime
+	for _, r := range mask {
+		h = (h ^ uint64(uint32(r))) * fnvPrime
+	}
+	return h
+}
+
+// knobsFlavor is the PlanKey.Solve bit that marks a memoized knob
+// prediction (exec.Plan.Knobs) apart from the level plan of the same
+// solve kind.
+const knobsFlavor = 8
+
+// KnobsKey is the plan-cache key of an execution-time knob prediction
+// for solving with l under so (its triangle, transpose and mask) on
+// workers resolved workers: the operand fingerprint, the solve kind
+// with the knobs flavor bit, and a hash of the mask and worker count.
+// Hashing is O(len(mask)); the operand itself is not scanned, which is
+// the point of caching the prediction.
+//
+//spgemm:hotpath
+func KnobsKey[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int) exec.PlanKey {
+	h := (uint64(fnvOffset) ^ uint64(workers)) * fnvPrime
+	return exec.PlanKey{
+		A:         exec.IDOf(l),
+		Solve:     so.solveKind() | knobsFlavor,
+		SolveHash: hashMask(h, so.Mask),
+	}
 }
 
 // SolveTri solves op(L)·x = b into a fresh vector. See SolveTriInto.
@@ -219,8 +250,9 @@ func SolveTri[T sparse.Number, S semiring.Semiring[T]](
 // and must either be the same slice (in-place solve) or not overlap.
 // Rows outside the mask receive b unchanged. The level-set plan is
 // cached in cfg.Engine keyed by operand fingerprint plus a structure
-// hash (see solveHash); warm engine-backed solves are allocation-free
-// on the substitution path.
+// hash (see solveHash). A warm engine-backed solve that runs serially
+// allocates nothing; a wave run allocates only the worker pool's
+// per-run start-up state (goroutines and the wave barrier).
 //
 // Failure taxonomy: ErrSingular for a structurally missing or
 // numerically zero diagonal on a solved row, ErrNotTriangular for an
@@ -290,9 +322,12 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 		}
 	}
 
+	// SolveAuto also runs serially when no wave has a second tile:
+	// there is nothing to run in parallel, so the wave runner would only
+	// add its start-up allocations and barriers to the same loop.
 	workers := sched.Workers(cfg.Workers)
 	serial := so.Mode == SolveSerial || workers <= 1 ||
-		(so.Mode == SolveAuto && sp.Flops < so.SerialBelow)
+		(so.Mode == SolveAuto && (sp.Flops < so.SerialBelow || sp.SerialWaves == len(sp.Waves)))
 
 	var wstats *sched.WaveStats
 	if serial {
@@ -317,7 +352,9 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 				var flops int64
 				for s := tile.Lo; s < tile.Hi; s++ {
 					i := int(sp.Order[s])
-					flops += op.RowNNZ(i)
+					if wc != nil { // row work feeds only traced runs
+						flops += op.RowNNZ(i)
+					}
 					solveRow(op, dst, b, state, i)
 				}
 				if wc != nil {

@@ -495,3 +495,65 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		t.Errorf("warm masked solve allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestSolveAutoSerialFallback pins SolveAuto's serial fallback: a
+// bidiagonal L (the lower half of a tridiagonal system) has one row per
+// level, so the coarsener collapses it into a single single-tile wave.
+// Its row work is above SerialBelow, yet an Auto solve must still take
+// the serial loop: no barrier crossings, nothing allocated warm, and
+// bits identical to the reference substitution.
+func TestSolveAutoSerialFallback(t *testing.T) {
+	const n = 10000
+	coo := sparse.NewCOO[float64](n, n, 2*n)
+	for i := 0; i < n; i++ {
+		coo.Add(sparse.Index(i), sparse.Index(i), float64(i%5+2))
+		if i > 0 {
+			coo.Add(sparse.Index(i), sparse.Index(i-1), 0.5)
+		}
+	}
+	l := coo.ToCSR()
+	r := rand.New(rand.NewSource(37))
+	b := randVec(n, r)
+	so := SolveOpts{Mode: SolveAuto}
+	want := make([]float64, n)
+	if err := SolveTriSerial(want, l, b, so); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := exec.New(exec.Config{})
+	rec := obs.NewRecorder()
+	cfg := solveCfg(sched.Dynamic, 4)
+	cfg.Engine = eng
+	cfg.Recorder = rec
+	got := make([]float64, n)
+	if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, cfg, so); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: auto %v != serial %v (bit-identity violated)", i, got[i], want[i])
+		}
+	}
+	st := rec.Stats().Sched
+	if st.Waves != 1 || st.SerialWaves != 1 {
+		t.Fatalf("plan has %d waves (%d single-tile), want one single-tile wave", st.Waves, st.SerialWaves)
+	}
+	if st.Barriers != 0 {
+		t.Fatalf("auto solve crossed %d barriers, want 0 (serial fallback)", st.Barriers)
+	}
+
+	cfg.Recorder = nil
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, cfg, so); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm auto solve on a single-tile plan allocates %.1f times per run, want 0", allocs)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: warm auto %v != serial %v", i, got[i], want[i])
+		}
+	}
+}

@@ -27,6 +27,22 @@ type Plan struct {
 	// Solve is the level-schedule payload of a triangular-solve plan;
 	// nil for SpGEMM plans.
 	Solve *SolvePlan
+	// Knobs is the payload of a memoized solve-knob prediction (see
+	// SolveKnobs); nil for every other plan.
+	Knobs *SolveKnobs
+}
+
+// SolveKnobs is an execution-time prediction for a triangular solve:
+// the wave-coarsening knobs and serial crossover the model layer picked
+// from the operand's structural features. Caching it lets repeated
+// solves against one operand skip the O(nnz) feature pass. A stale hit
+// only changes knobs, never results: the level plan is keyed by the
+// knobs it was built with, and waves are bit-identical to serial under
+// any knob values.
+type SolveKnobs struct {
+	WaveGrain   int64
+	MergeBelow  int
+	SerialBelow int64
 }
 
 // SolvePlan is the dependency-wave half of a masked triangular-solve
@@ -91,14 +107,16 @@ type PlanKey struct {
 	Vanilla bool
 	// Solve discriminates triangular-solve plans from SpGEMM plans in
 	// the shared cache: 0 for SpGEMM, otherwise an encoding of the solve
-	// kind (lower/upper, transpose) plus one.
+	// kind (lower/upper, transpose) plus one, with a flavor bit set for
+	// knob predictions (Plan.Knobs) rather than level plans.
 	Solve uint8
 	// SolveHash fingerprints what a solve plan's correctness depends on:
 	// the operand's structure and the mask contents, plus the coarsening
 	// knobs. A solve plan's wave order encodes dependencies, so — unlike
 	// SpGEMM — a stale hit would be a correctness bug, not a balance
-	// wobble; content-hashing closes the recycled-address hole. Zero for
-	// SpGEMM plans.
+	// wobble; content-hashing closes the recycled-address hole. For knob
+	// predictions it hashes the mask and the resolved worker count. Zero
+	// for SpGEMM plans.
 	SolveHash uint64
 }
 

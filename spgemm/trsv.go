@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"maskedspgemm/internal/core"
+	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/model"
+	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -26,8 +28,10 @@ type LevelSchedule int
 
 const (
 	// LevelAuto extracts cheap structural features (row work, banded
-	// fraction) and picks waves or serial per call — the execution-time
-	// tuning the paper's conclusion calls for, applied to SpTRSV.
+	// fraction) and picks waves or serial at execution time — the tuning
+	// the paper's conclusion calls for, applied to SpTRSV. The
+	// prediction is made once per (operand, triangle, mask, workers) on
+	// an engine and per call without one.
 	LevelAuto LevelSchedule = iota
 	// LevelWaves forces the dependency-wave schedule: level sets
 	// coarsened into FLOP-balanced tile waves, executed by the
@@ -46,8 +50,13 @@ const (
 // not vary with Workers or Schedule.
 //
 // The level-set plan is cached on opts.Engine keyed by the operand's
-// structure, so iterative solves against a fixed matrix plan once; warm
-// engine-backed solves allocate nothing on the substitution path.
+// structure, and under LevelAuto so is the knob prediction (per
+// operand, triangle, mask and worker count), so iterative solves
+// against a fixed matrix plan and predict once. A warm engine-backed
+// solve allocates the returned vector and, when masked, one copy of the
+// mask; a solve that runs serially allocates nothing else, while a wave
+// run adds the worker pool's per-run start-up state (goroutines and the
+// wave barrier).
 func TRSV(l *Matrix, b []float64, tri Triangle, opts Options) ([]float64, error) {
 	return TRSVMasked(l, b, tri, nil, opts)
 }
@@ -106,13 +115,37 @@ func (o Options) solveOpts(l *sparse.CSR[float64], tri Triangle, mask []int32) (
 		so.Mode = core.SolveSerial
 	case LevelAuto:
 		so.Mode = core.SolveAuto
-		f := model.ExtractSolve(l, so.Mask)
-		pred, _ := model.PredictSolve(f, model.DefaultSolveThresholds(), o.Workers)
-		so.WaveGrain = pred.WaveGrain
-		so.MergeBelow = pred.MergeBelow
-		so.SerialBelow = pred.SerialBelow
+		k := o.predictKnobs(l, so)
+		so.WaveGrain = k.WaveGrain
+		so.MergeBelow = k.MergeBelow
+		so.SerialBelow = k.SerialBelow
 	default:
 		return so, fmt.Errorf("%w: unknown level schedule %d", ErrConfig, o.LevelSchedule)
 	}
 	return so, nil
+}
+
+// predictKnobs returns the model layer's knob prediction for solving
+// with l under so, memoized in the engine's plan cache so that warm
+// solves skip the O(nnz) feature pass: a hit costs one plan lookup and
+// allocates nothing. PredictSolve derives MergeBelow from the worker
+// count, so the key carries the resolved count. A nil engine, a
+// disabled plan cache or a failed plan store predicts per call.
+func (o Options) predictKnobs(l *sparse.CSR[float64], so core.SolveOpts) exec.SolveKnobs {
+	eng := o.Engine.internal()
+	workers := sched.Workers(o.Workers)
+	key := core.KnobsKey(l, so, workers)
+	if p, ok := eng.PlanLookup(key); ok {
+		return *p.Knobs
+	}
+	p, _ := eng.Plan(key, func() (exec.Plan, error) {
+		f := model.ExtractSolve(l, so.Mask)
+		pred, _ := model.PredictSolve(f, model.DefaultSolveThresholds(), workers)
+		return exec.Plan{Knobs: &exec.SolveKnobs{
+			WaveGrain:   pred.WaveGrain,
+			MergeBelow:  pred.MergeBelow,
+			SerialBelow: pred.SerialBelow,
+		}}, nil
+	})
+	return *p.Knobs
 }
