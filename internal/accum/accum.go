@@ -35,8 +35,17 @@ type Marker interface {
 //
 //	BeginRow()
 //	LoadMask(maskCols)            // mask-load and hybrid spaces only
-//	Update / UpdateMasked ...     // one call per candidate product term
+//	Scatter / ScatterMasked ...   // one call per B row: aik ⊗ B[k,:]
+//	Update ...                    // co-iteration hits only
 //	cols, vals = Gather(maskCols, cols, vals)
+//
+// The contract is row-granular on purpose. Go stencils generic code by
+// GC shape, and every zero-size semiring shares one shape, so Plus and
+// Times on a semiring type parameter are dictionary calls; a call
+// through this interface is another indirect call. Taking a whole B row
+// per call pays the interface call once per row, and lets each
+// implementation run its own loop over the row with the semiring calls
+// only where a product is actually kept.
 //
 // Gather iterates the mask columns, so output rows come out sorted
 // whenever mask rows are sorted, and entries outside the mask — which
@@ -47,11 +56,17 @@ type Accumulator[T sparse.Number] interface {
 	// LoadMask marks the given columns as allowed by the mask.
 	LoadMask(cols []sparse.Index)
 	// Update accumulates x into column j unconditionally, creating the
-	// entry if absent. Used by the vanilla and co-iteration spaces.
+	// entry if absent. Used for the co-iteration space's hits, which
+	// arrive one at a time from a binary search.
 	Update(j sparse.Index, x T)
-	// UpdateMasked accumulates x into column j only if LoadMask allowed
-	// it, reporting whether it did. Used by the mask-load space.
-	UpdateMasked(j sparse.Index, x T) bool
+	// Scatter accumulates aik ⊗ vals[p] into column cols[p] for every p,
+	// creating entries as needed. Used by the vanilla space.
+	Scatter(aik T, cols []sparse.Index, vals []T)
+	// ScatterMasked accumulates aik ⊗ vals[p] into column cols[p] for
+	// every p whose column LoadMask allowed, and returns how many were
+	// kept; the rest are discarded without computing the product. Used
+	// by the mask-load space and the hybrid space's linear branch.
+	ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int)
 	// Gather appends the accumulated entries whose column appears in
 	// maskCols (in that order) to cols/vals and returns the extended
 	// slices.

@@ -8,10 +8,11 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// benchRow builds a deterministic mask row and update stream shaped
-// like a masked-SpGEMM row: maskLen allowed columns out of n, updates
-// candidate updates of which roughly half hit the mask.
-func benchRow(n, maskLen, updates int) (mask []sparse.Index, stream []sparse.Index) {
+// benchRow builds a deterministic mask row and a stream of candidate
+// columns shaped like a masked-SpGEMM row: maskLen allowed columns out
+// of n, and updates candidates of which about hitPct percent hit the
+// mask.
+func benchRow(n, maskLen, updates, hitPct int) (mask []sparse.Index, stream []sparse.Index) {
 	mask = make([]sparse.Index, maskLen)
 	stride := n / maskLen
 	for i := range mask {
@@ -19,7 +20,7 @@ func benchRow(n, maskLen, updates int) (mask []sparse.Index, stream []sparse.Ind
 	}
 	stream = make([]sparse.Index, updates)
 	for i := range stream {
-		if i%2 == 0 {
+		if i*hitPct%100 < hitPct {
 			stream[i] = mask[i%maskLen] // hit
 		} else {
 			stream[i] = sparse.Index((i*stride + stride/2) % n) // miss
@@ -28,40 +29,54 @@ func benchRow(n, maskLen, updates int) (mask []sparse.Index, stream []sparse.Ind
 	return mask, stream
 }
 
-// BenchmarkAccumulatorRow measures the full per-row protocol
-// (reset, mask load, masked updates, gather) for every accumulator
-// configuration — the §III-C micro-comparison.
+// BenchmarkAccumulatorRow measures the full per-row protocol (reset,
+// mask load, one ScatterMasked call per B row, gather) for every
+// accumulator configuration — the §III-C micro-comparison. Each kind
+// runs a hit-heavy stream (90% of entries in the mask), an even one and
+// a miss-heavy one (10%), cut into B rows of bRowLen entries.
 func BenchmarkAccumulatorRow(b *testing.B) {
-	const n, maskLen, updates = 1 << 16, 64, 512
-	mask, stream := benchRow(n, maskLen, updates)
+	const n, maskLen, updates, bRowLen = 1 << 16, 64, 512, 16
 	sr := semiring.PlusTimes[float64]{}
-	cases := []struct {
+	type pt = semiring.PlusTimes[float64]
+	kinds := []struct {
 		name string
 		acc  Accumulator[float64]
 	}{
-		{"Dense8", NewDense[float64, semiring.PlusTimes[float64], uint8](sr, n)},
-		{"Dense16", NewDense[float64, semiring.PlusTimes[float64], uint16](sr, n)},
-		{"Dense32", NewDense[float64, semiring.PlusTimes[float64], uint32](sr, n)},
-		{"Dense64", NewDense[float64, semiring.PlusTimes[float64], uint64](sr, n)},
-		{"Hash32", NewHash[float64, semiring.PlusTimes[float64], uint32](sr, maskLen)},
-		{"DenseExplicit", NewDenseExplicit[float64, semiring.PlusTimes[float64]](sr, n)},
-		{"HashExplicit", NewHashExplicit[float64, semiring.PlusTimes[float64]](sr, int64(maskLen))},
+		{"Dense8", NewDense[float64, pt, uint8](sr, n)},
+		{"Dense16", NewDense[float64, pt, uint16](sr, n)},
+		{"Dense32", NewDense[float64, pt, uint32](sr, n)},
+		{"Dense64", NewDense[float64, pt, uint64](sr, n)},
+		{"Hash32", NewHash[float64, pt, uint32](sr, maskLen)},
+		{"DenseExplicit", NewDenseExplicit[float64, pt](sr, n)},
+		{"HashExplicit", NewHashExplicit[float64, pt](sr, int64(maskLen))},
+		{"SortList", NewSortList[float64, pt](sr, maskLen)},
+	}
+	streams := []struct {
+		name   string
+		hitPct int
+	}{{"hit", 90}, {"mixed", 50}, {"miss", 10}}
+	ones := make([]float64, bRowLen)
+	for i := range ones {
+		ones[i] = 1
 	}
 	var cols []sparse.Index
 	var vals []float64
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.acc.BeginRow()
-				c.acc.LoadMask(mask)
-				for _, j := range stream {
-					c.acc.UpdateMasked(j, 1)
+	for _, k := range kinds {
+		for _, st := range streams {
+			mask, stream := benchRow(n, maskLen, updates, st.hitPct)
+			b.Run(k.name+"/"+st.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.acc.BeginRow()
+					k.acc.LoadMask(mask)
+					for lo := 0; lo < len(stream); lo += bRowLen {
+						k.acc.ScatterMasked(1, stream[lo:lo+bRowLen], ones)
+					}
+					cols, vals = k.acc.Gather(mask, cols[:0], vals[:0])
 				}
-				cols, vals = c.acc.Gather(mask, cols[:0], vals[:0])
-			}
-			b.ReportMetric(float64(len(cols)), "row-nnz")
-			_ = vals
-		})
+				b.ReportMetric(float64(len(cols)), "row-nnz")
+				_ = vals
+			})
+		}
 	}
 }
 
@@ -70,7 +85,7 @@ func BenchmarkAccumulatorRow(b *testing.B) {
 // touched slots every row.
 func BenchmarkAccumulatorReset(b *testing.B) {
 	const n, maskLen = 1 << 18, 128
-	mask, _ := benchRow(n, maskLen, 1)
+	mask, _ := benchRow(n, maskLen, 1, 0)
 	sr := semiring.PlusTimes[float64]{}
 	for _, bits := range []int{8, 32} {
 		b.Run(fmt.Sprintf("DenseMarker%d", bits), func(b *testing.B) {

@@ -79,22 +79,44 @@ func (d *Dense[T, S, M]) Update(j sparse.Index, x T) {
 	}
 }
 
-// UpdateMasked accumulates x into column j only if LoadMask allowed it.
+// Scatter accumulates aik ⊗ vals[p] into column cols[p], creating
+// entries in empty or stale slots.
 //
 //spgemm:hotpath
-func (d *Dense[T, S, M]) UpdateMasked(j sparse.Index, x T) bool {
+func (d *Dense[T, S, M]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	state, dv := d.state, d.vals
 	entry := d.mask + 1
-	switch d.state[j] {
-	case entry:
-		d.vals[j] = d.sr.Plus(d.vals[j], x)
-		return true
-	case d.mask:
-		d.state[j] = entry
-		d.vals[j] = x
-		return true
-	default:
-		return false
+	for p, j := range cols {
+		x := d.sr.Times(aik, vals[p])
+		if state[j] == entry {
+			dv[j] = d.sr.Plus(dv[j], x)
+		} else {
+			state[j] = entry
+			dv[j] = x
+		}
 	}
+}
+
+// ScatterMasked accumulates aik ⊗ vals[p] into column cols[p] for the
+// columns LoadMask allowed; the product of a rejected entry is never
+// computed.
+//
+//spgemm:hotpath
+func (d *Dense[T, S, M]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	state, dv := d.state, d.vals
+	mask, entry := d.mask, d.mask+1
+	for p, j := range cols {
+		switch state[j] {
+		case entry:
+			dv[j] = d.sr.Plus(dv[j], d.sr.Times(aik, vals[p]))
+			hits++
+		case mask:
+			state[j] = entry
+			dv[j] = d.sr.Times(aik, vals[p])
+			hits++
+		}
+	}
+	return hits
 }
 
 // Gather appends the written entries among maskCols, in mask order.
@@ -184,21 +206,46 @@ func (d *DenseExplicit[T, S]) Update(j sparse.Index, x T) {
 	}
 }
 
-// UpdateMasked accumulates x into column j only if LoadMask allowed it.
+// Scatter accumulates aik ⊗ vals[p] into column cols[p], recording
+// every newly touched slot for the next BeginRow.
 //
 //spgemm:hotpath
-func (d *DenseExplicit[T, S]) UpdateMasked(j sparse.Index, x T) bool {
-	switch d.state[j] {
-	case 2:
-		d.vals[j] = d.sr.Plus(d.vals[j], x)
-		return true
-	case 1:
-		d.state[j] = 2
-		d.vals[j] = x
-		return true
-	default:
-		return false
+func (d *DenseExplicit[T, S]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	state, dv := d.state, d.vals
+	for p, j := range cols {
+		x := d.sr.Times(aik, vals[p])
+		switch state[j] {
+		case 2:
+			dv[j] = d.sr.Plus(dv[j], x)
+		case 1:
+			state[j] = 2
+			dv[j] = x
+		default:
+			d.touched = append(d.touched, j)
+			state[j] = 2
+			dv[j] = x
+		}
 	}
+}
+
+// ScatterMasked accumulates aik ⊗ vals[p] into column cols[p] for the
+// columns LoadMask allowed.
+//
+//spgemm:hotpath
+func (d *DenseExplicit[T, S]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	state, dv := d.state, d.vals
+	for p, j := range cols {
+		switch state[j] {
+		case 2:
+			dv[j] = d.sr.Plus(dv[j], d.sr.Times(aik, vals[p]))
+			hits++
+		case 1:
+			state[j] = 2
+			dv[j] = d.sr.Times(aik, vals[p])
+			hits++
+		}
+	}
+	return hits
 }
 
 // Gather appends the written entries among maskCols, in mask order.

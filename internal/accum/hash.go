@@ -34,7 +34,7 @@ type Hash[T sparse.Number, S semiring.Semiring[T], M Marker] struct {
 	Grows  int64
 	// stats, when non-nil, receives per-probe counts (EnableStats). Kept
 	// behind a pointer so the disabled hot path is one predictable
-	// nil-check per probe sequence.
+	// nil-check per probe sequence, or per B row in the scatter loops.
 	stats *Stats
 	// growHook, when non-nil, runs at the entry of every table grow
 	// before any state moves — the chaos layer's AccumGrow seam
@@ -60,6 +60,12 @@ func NewHash[T sparse.Number, S semiring.Semiring[T], M Marker](sr S, rowCap int
 	return h
 }
 
+// slotOf is the Fibonacci hash of j: the first slot of j's probe chain.
+// The scatter loops spell the expression out instead of calling a
+// package-level helper: with go1.24 such a helper was not inlined into
+// the copy of a generic body that another package compiled, and the
+// linker kept that copy, leaving a direct call per flop.
+//
 //spgemm:hotpath
 func (h *Hash[T, S, M]) slotOf(j sparse.Index) int {
 	return int((uint64(uint32(j)) * fibHash) >> h.shift)
@@ -210,22 +216,119 @@ func (h *Hash[T, S, M]) Update(j sparse.Index, x T) {
 	h.maybeGrow()
 }
 
-// UpdateMasked accumulates x into column j only if LoadMask inserted it.
+// Scatter accumulates aik ⊗ vals[p] into column cols[p], inserting
+// absent columns.
 //
 //spgemm:hotpath
-func (h *Hash[T, S, M]) UpdateMasked(j sparse.Index, x T) bool {
-	slot, found := h.probe(j)
-	if !found {
-		return false
+func (h *Hash[T, S, M]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	h.scatter(aik, cols, vals, nil)
+}
+
+// scatter is the Scatter loop, shared with HashExplicit. The probe runs
+// inline over local copies of the table, reloaded after a grow; probes
+// and collisions are counted in locals and match probe's accounting.
+// live, when non-nil, receives every inserted slot and is rebuilt after
+// a grow moves the slots.
+//
+//spgemm:hotpath
+func (h *Hash[T, S, M]) scatter(aik T, cols []sparse.Index, vals []T, live *[]int) {
+	keys, hv, state := h.keys, h.vals, h.state
+	shift, capMask := h.shift, len(keys)-1
+	mask, entry := h.mask, h.mask+1
+	var collisions int64
+	for p, j := range cols {
+		x := h.sr.Times(aik, vals[p])
+		slot := int((uint64(uint32(j)) * fibHash) >> shift)
+		for {
+			st := state[slot]
+			if st != mask && st != entry {
+				keys[slot] = j
+				state[slot] = entry
+				hv[slot] = x
+				h.used++
+				if live != nil {
+					*live = append(*live, slot)
+				}
+				if 2*h.used > len(keys) {
+					//lint:ignore hotpathalloc amortized: doubling keeps per-insert cost O(1), and growth means the row blew its mask bound
+					h.maybeGrow()
+					if live != nil {
+						*live = h.liveSlots((*live)[:0])
+					}
+					keys, hv, state = h.keys, h.vals, h.state
+					shift, capMask = h.shift, len(keys)-1
+					mask, entry = h.mask, h.mask+1
+				}
+				break
+			}
+			if keys[slot] == j {
+				if st == entry {
+					hv[slot] = h.sr.Plus(hv[slot], x)
+				} else {
+					state[slot] = entry
+					hv[slot] = x
+				}
+				break
+			}
+			slot = (slot + 1) & capMask
+			collisions++
+		}
 	}
-	entry := h.mask + 1
-	if h.state[slot] == entry {
-		h.vals[slot] = h.sr.Plus(h.vals[slot], x)
-	} else {
-		h.state[slot] = entry
-		h.vals[slot] = x
+	if h.stats != nil {
+		h.stats.Probes += int64(len(cols))
+		h.stats.Collisions += collisions
 	}
-	return true
+}
+
+// ScatterMasked accumulates aik ⊗ vals[p] into column cols[p] for the
+// columns LoadMask inserted. Times runs only on a hit: a miss discards
+// the product, and Times is pure.
+//
+//spgemm:hotpath
+func (h *Hash[T, S, M]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	keys, hv, state := h.keys, h.vals, h.state
+	shift, capMask := h.shift, len(keys)-1
+	mask, entry := h.mask, h.mask+1
+	var collisions int64
+	for p, j := range cols {
+		slot := int((uint64(uint32(j)) * fibHash) >> shift)
+		for {
+			st := state[slot]
+			if st != mask && st != entry {
+				break
+			}
+			if keys[slot] == j {
+				x := h.sr.Times(aik, vals[p])
+				if st == entry {
+					hv[slot] = h.sr.Plus(hv[slot], x)
+				} else {
+					state[slot] = entry
+					hv[slot] = x
+				}
+				hits++
+				break
+			}
+			slot = (slot + 1) & capMask
+			collisions++
+		}
+	}
+	if h.stats != nil {
+		h.stats.Probes += int64(len(cols))
+		h.stats.Collisions += collisions
+	}
+	return hits
+}
+
+// liveSlots appends the slots that hold an entry of the current row to
+// dst.
+func (h *Hash[T, S, M]) liveSlots(dst []int) []int {
+	mask, entry := h.mask, h.mask+1
+	for slot, st := range h.state {
+		if st == mask || st == entry {
+			dst = append(dst, slot)
+		}
+	}
+	return dst
 }
 
 // Gather appends the written entries among maskCols, in mask order.
@@ -318,20 +421,23 @@ func (h *HashExplicit[T, S]) Update(j sparse.Index, x T) {
 func (h *HashExplicit[T, S]) growAndRelocate() {
 	h.inner.maybeGrow()
 	// Slot numbers moved; rebuild the live list from the new table.
-	h.live = h.live[:0]
-	mask, entry := h.inner.mask, h.inner.mask+1
-	for slot, st := range h.inner.state {
-		if st == mask || st == entry {
-			h.live = append(h.live, slot)
-		}
-	}
+	h.live = h.inner.liveSlots(h.live[:0])
 }
 
-// UpdateMasked accumulates x into column j only if LoadMask inserted it.
+// Scatter accumulates aik ⊗ vals[p] into column cols[p], inserting
+// absent columns and tracking them for the next BeginRow.
 //
 //spgemm:hotpath
-func (h *HashExplicit[T, S]) UpdateMasked(j sparse.Index, x T) bool {
-	return h.inner.UpdateMasked(j, x)
+func (h *HashExplicit[T, S]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	h.inner.scatter(aik, cols, vals, &h.live)
+}
+
+// ScatterMasked accumulates aik ⊗ vals[p] into column cols[p] for the
+// columns LoadMask inserted. It never inserts, so the live list stands.
+//
+//spgemm:hotpath
+func (h *HashExplicit[T, S]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	return h.inner.ScatterMasked(aik, cols, vals)
 }
 
 // Gather appends the written entries among maskCols, in mask order.

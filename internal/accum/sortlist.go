@@ -22,7 +22,7 @@ type SortList[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr       S
 	cols     []sparse.Index
 	vals     []T
-	maskCols []sparse.Index // current row's mask, for UpdateMasked
+	maskCols []sparse.Index // current row's mask, for ScatterMasked
 }
 
 // NewSortList returns a sort-based accumulator with capacity hints for
@@ -44,7 +44,7 @@ func (s *SortList[T, S]) BeginRow() {
 	s.maskCols = nil
 }
 
-// LoadMask records the mask row for UpdateMasked's membership checks.
+// LoadMask records the mask row for ScatterMasked's membership checks.
 //
 //spgemm:hotpath
 func (s *SortList[T, S]) LoadMask(cols []sparse.Index) {
@@ -59,28 +59,43 @@ func (s *SortList[T, S]) Update(j sparse.Index, x T) {
 	s.vals = append(s.vals, x)
 }
 
-// UpdateMasked appends the update iff j is in the loaded mask row
-// (binary search — the log has no per-column state to consult). The
-// search is hand-rolled: a sort.Search closure here would sit on the
-// per-update path, the single hottest call site of this accumulator.
+// Scatter appends aik ⊗ vals[p] for every column unconditionally.
 //
 //spgemm:hotpath
-func (s *SortList[T, S]) UpdateMasked(j sparse.Index, x T) bool {
-	p, hi := 0, len(s.maskCols)
-	for p < hi {
-		mid := int(uint(p+hi) >> 1)
-		if s.maskCols[mid] < j {
-			p = mid + 1
-		} else {
-			hi = mid
+func (s *SortList[T, S]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	for p, j := range cols {
+		s.cols = append(s.cols, j)
+		s.vals = append(s.vals, s.sr.Times(aik, vals[p]))
+	}
+}
+
+// ScatterMasked appends aik ⊗ vals[p] for every column in the loaded
+// mask row (binary search — the log has no per-column state to
+// consult). The search is hand-rolled: a sort.Search closure here would
+// sit on the per-entry path, the single hottest loop of this
+// accumulator.
+//
+//spgemm:hotpath
+func (s *SortList[T, S]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	maskCols := s.maskCols
+	for q, j := range cols {
+		p, hi := 0, len(maskCols)
+		for p < hi {
+			mid := int(uint(p+hi) >> 1)
+			if maskCols[mid] < j {
+				p = mid + 1
+			} else {
+				hi = mid
+			}
 		}
+		if p >= len(maskCols) || maskCols[p] != j {
+			continue
+		}
+		s.cols = append(s.cols, j)
+		s.vals = append(s.vals, s.sr.Times(aik, vals[q]))
+		hits++
 	}
-	if p >= len(s.maskCols) || s.maskCols[p] != j {
-		return false
-	}
-	s.cols = append(s.cols, j)
-	s.vals = append(s.vals, x)
-	return true
+	return hits
 }
 
 // Gather sorts the log, merges duplicate columns with Plus, intersects

@@ -3,8 +3,9 @@ package accum
 // Stats are the accumulator-side observability counters. Clears and
 // Grows are always counted (they are rare, per-row-at-worst events);
 // Probes and Collisions touch the hash accumulator's innermost loop and
-// are only counted after EnableStats, so the un-instrumented hot path
-// pays a single predictable nil-check per probe.
+// are only reported after EnableStats. The per-entry paths pay a single
+// predictable nil-check per probe; the scatter loops count in locals
+// and pay one nil-check per B row.
 type Stats struct {
 	// Clears counts full state resets forced by marker overflow — the
 	// Fig. 13 bit-width trade-off.
@@ -12,7 +13,8 @@ type Stats struct {
 	// Grows counts hash-table doublings (a row exceeded the sizing bound).
 	Grows int64
 	// Probes counts probe sequences (one per LoadMask/Update/Gather
-	// lookup). Zero unless EnableStats was called.
+	// lookup and per Scatter/ScatterMasked entry). Zero unless
+	// EnableStats was called.
 	Probes int64
 	// Collisions counts probe steps past the home slot. Zero unless
 	// EnableStats was called.

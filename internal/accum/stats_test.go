@@ -23,9 +23,11 @@ func TestHashProbeCounting(t *testing.T) {
 
 	h.EnableStats()
 	h.BeginRow()
-	h.LoadMask(mask)            // 3 probes
-	h.UpdateMasked(3, 2.0)      // 1 probe
-	h.UpdateMasked(2, 2.0)      // 1 probe (miss)
+	h.LoadMask(mask) // 3 probes
+	// One B row of two entries: 2 probes, a hit on 3 and a miss on 2.
+	if hits := h.ScatterMasked(1, []sparse.Index{3, 2}, []float64{2, 2}); hits != 1 {
+		t.Fatalf("hits = %d, want 1", hits)
+	}
 	var cols []sparse.Index
 	var vals []float64
 	cols, _ = h.Gather(mask, cols, vals) // 3 probes

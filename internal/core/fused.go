@@ -354,9 +354,9 @@ func fusedRowStage1[T sparse.Number, S semiring.Semiring[T]](
 	}
 	switch cfg.Iteration {
 	case Vanilla:
-		rowVanilla(sr, acc, a, b, i, wc)
+		rowVanilla(acc, a, b, i, wc)
 	case MaskLoad:
-		rowMaskLoad(sr, acc, a, b, i, maskCols, wc)
+		rowMaskLoad(acc, a, b, i, maskCols, wc)
 	case CoIter:
 		rowCoIter(sr, acc, a, b, i, maskCols, wc)
 	case Hybrid:
@@ -379,9 +379,9 @@ func fusedRowStage2[T sparse.Number, S semiring.Semiring[T]](
 	if len(iCols) > 0 && (len(maskCols) > 0 || cfg.Iteration == Vanilla) {
 		switch cfg.Iteration {
 		case Vanilla:
-			rowVanillaSlices(sr, acc, iCols, iVals, c, wc)
+			rowVanillaSlices(acc, iCols, iVals, c, wc)
 		case MaskLoad:
-			rowMaskLoadSlices(sr, acc, iCols, iVals, c, maskCols, wc)
+			rowMaskLoadSlices(acc, iCols, iVals, c, maskCols, wc)
 		case CoIter:
 			rowCoIterSlices(sr, acc, iCols, iVals, c, maskCols, wc)
 		case Hybrid:
@@ -497,9 +497,9 @@ func runTileSelect[T sparse.Number, S semiring.Semiring[T]](
 		if len(maskCols) > 0 || cfg.Iteration == Vanilla {
 			switch cfg.Iteration {
 			case Vanilla:
-				rowVanilla(sr, acc, a, b, i, wc)
+				rowVanilla(acc, a, b, i, wc)
 			case MaskLoad:
-				rowMaskLoad(sr, acc, a, b, i, maskCols, wc)
+				rowMaskLoad(acc, a, b, i, maskCols, wc)
 			case CoIter:
 				rowCoIter(sr, acc, a, b, i, maskCols, wc)
 			case Hybrid:
@@ -627,9 +627,9 @@ func runTileStream[T sparse.Number, S semiring.Semiring[T]](
 		if len(maskCols) > 0 || cfg.Iteration == Vanilla {
 			switch cfg.Iteration {
 			case Vanilla:
-				rowVanilla(sr, acc, a, b, i, wc)
+				rowVanilla(acc, a, b, i, wc)
 			case MaskLoad:
-				rowMaskLoad(sr, acc, a, b, i, maskCols, wc)
+				rowMaskLoad(acc, a, b, i, maskCols, wc)
 			case CoIter:
 				rowCoIter(sr, acc, a, b, i, maskCols, wc)
 			case Hybrid:

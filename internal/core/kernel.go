@@ -207,12 +207,12 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 // point — this is the cost the better iteration spaces avoid.
 //
 //spgemm:hotpath
-func rowVanilla[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], a, b *sparse.CSR[T], i int,
+func rowVanilla[T sparse.Number](
+	acc accum.Accumulator[T], a, b *sparse.CSR[T], i int,
 	wc *obs.WorkerCounters,
 ) {
 	aCols, aVals := a.Row(i)
-	rowVanillaSlices(sr, acc, aCols, aVals, b, wc)
+	rowVanillaSlices(acc, aCols, aVals, b, wc)
 }
 
 // rowVanillaSlices is rowVanilla over an explicit sparse left row —
@@ -220,8 +220,8 @@ func rowVanilla[T sparse.Number, S semiring.Semiring[T]](
 // became a CSR.
 //
 //spgemm:hotpath
-func rowVanillaSlices[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+func rowVanillaSlices[T sparse.Number](
+	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
@@ -231,9 +231,7 @@ func rowVanillaSlices[T sparse.Number, S semiring.Semiring[T]](
 		if wc != nil {
 			wc.Flops.Add(int64(len(bCols)))
 		}
-		for jj, j := range bCols {
-			acc.Update(j, sr.Times(aik, bVals[jj]))
-		}
+		acc.Scatter(aik, bCols, bVals)
 	}
 }
 
@@ -242,19 +240,19 @@ func rowVanillaSlices[T sparse.Number, S semiring.Semiring[T]](
 // miss the mask.
 //
 //spgemm:hotpath
-func rowMaskLoad[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], a, b *sparse.CSR[T], i int, maskCols []sparse.Index,
+func rowMaskLoad[T sparse.Number](
+	acc accum.Accumulator[T], a, b *sparse.CSR[T], i int, maskCols []sparse.Index,
 	wc *obs.WorkerCounters,
 ) {
 	aCols, aVals := a.Row(i)
-	rowMaskLoadSlices(sr, acc, aCols, aVals, b, maskCols, wc)
+	rowMaskLoadSlices(acc, aCols, aVals, b, maskCols, wc)
 }
 
 // rowMaskLoadSlices is rowMaskLoad over an explicit sparse left row.
 //
 //spgemm:hotpath
-func rowMaskLoadSlices[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+func rowMaskLoadSlices[T sparse.Number](
+	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
@@ -265,9 +263,7 @@ func rowMaskLoadSlices[T sparse.Number, S semiring.Semiring[T]](
 		if wc != nil {
 			wc.Flops.Add(int64(len(bCols)))
 		}
-		for jj, j := range bCols {
-			acc.UpdateMasked(j, sr.Times(aik, bVals[jj]))
-		}
+		acc.ScatterMasked(aik, bCols, bVals)
 	}
 }
 
@@ -381,9 +377,7 @@ func rowHybridSlices[T sparse.Number, S semiring.Semiring[T]](
 			if wc != nil {
 				wc.LinearPicks.Add(1)
 			}
-			for jj, j := range bCols {
-				acc.UpdateMasked(j, sr.Times(aik, bVals[jj]))
-			}
+			acc.ScatterMasked(aik, bCols, bVals)
 		}
 	}
 }

@@ -285,9 +285,9 @@ func runTilePlanned[T sparse.Number, S semiring.Semiring[T]](
 		if len(maskCols) > 0 || cfg.Iteration == Vanilla {
 			switch cfg.Iteration {
 			case Vanilla:
-				rowVanilla(sr, acc, a, b, i, wc)
+				rowVanilla(acc, a, b, i, wc)
 			case MaskLoad:
-				rowMaskLoad(sr, acc, a, b, i, maskCols, wc)
+				rowMaskLoad(acc, a, b, i, maskCols, wc)
 			case CoIter:
 				rowCoIter(sr, acc, a, b, i, maskCols, wc)
 			case Hybrid:

@@ -1,10 +1,19 @@
 // Package semiring defines the algebraic structures the GraphBLAS-style
 // kernels compute over. GraphBLAS permits any semiring in place of
-// (+, ×) (paper §II-A); the kernels in internal/core are generic over a
-// Semiring type parameter instantiated with one of the zero-size structs
-// below, so each (semiring, value-type) pair compiles to a specialized,
-// fully inlined kernel with no function-pointer indirection — the Go
-// equivalent of the C++ template instantiation GrB relies on.
+// (+, ×) (paper §II-A); the kernels in internal/core and the
+// accumulators in internal/accum are generic over a Semiring type
+// parameter instantiated with one of the structs below.
+//
+// Go compiles generic code once per GC shape, not once per type
+// argument. Every zero-size semiring here has the shape struct{} (and
+// MinPlus and MinFirst share struct{ Inf T }), so the semirings share
+// one compiled body per value type, and Plus or Times on the type
+// parameter is an indirect call through the instantiation's dictionary.
+// Inlining the generic code into a concrete caller does not remove that
+// call. This is not the per-algebra specialization of the C++ templates
+// GrB relies on, so the hot loops are built around the call instead: an
+// accumulator takes a whole B row per call and runs Times and Plus only
+// for the entries it keeps (see accum.Accumulator).
 package semiring
 
 import "maskedspgemm/internal/sparse"
